@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: unit tests, the repo-specific AST lint, and the electrical
-# rule check over every shipped example.  Everything must be green.
+# Tier-1 gate: unit tests, the repo-specific lint (`repro analyze`, which
+# runs QA101-QA107 and the dataflow rules against qa/baseline.json), and
+# the electrical rule check over every shipped example.  Everything must
+# be green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,10 +16,6 @@ echo "== fault-injection chaos pytest (REPRO_FAULTS=chaos-1234) =="
 # REPRO_HANG_SECONDS=2 keeps the rare chaos 'hang' faults short enough
 # for the suite's own deadlines.
 REPRO_FAULTS=chaos-1234 REPRO_HANG_SECONDS=2 python -m pytest -x -q
-
-echo
-echo "== repro.qa.astlint over src =="
-python -m repro.qa.astlint src
 
 echo
 echo "== repro analyze over src/repro (baseline-ratcheted) =="

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.linalg import (
-    ResilientFactorization,
-    SweepAssembler,
-    add_gmin,
-)
+from repro.circuit.linalg import add_gmin
 from repro.obs.trace import span
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import current_run_report
@@ -106,12 +102,14 @@ def ac_analysis(
         policy: Resilience policy for the escalation chain; default from
             ``REPRO_RESILIENCE``.
         workers: Process-pool width for the sweep (bit-identical to the
-            serial loop); default from ``REPRO_WORKERS`` / CPU count, 1
+            serial path); default from ``REPRO_WORKERS`` / CPU count, 1
             forces serial.
 
     Returns:
         The sweep result.
     """
+    from repro.perf.parallel import SweepSpec, parallel_sweep
+
     system = _as_system(circuit_or_system)
     policy = policy or default_policy()
     if system.has_devices:
@@ -121,43 +119,45 @@ def ac_analysis(
         )
     freqs = np.asarray(list(frequencies), dtype=float)
     g_matrix, c_matrix = system.build_matrices()
-    g_matrix = add_gmin(g_matrix, system.n, gmin)
-    b = _ac_rhs(system, stimulus)
+    spec = SweepSpec(
+        g_matrix=add_gmin(g_matrix, system.n, gmin), c_matrix=c_matrix,
+        b=_ac_rhs(system, stimulus), site="ac", policy=policy,
+    )
     out = np.zeros((len(freqs), system.size), dtype=complex)
+    with span("circuit.ac", points=len(freqs), size=system.size):
+        parallel_sweep(
+            spec, freqs, out, workers=workers, report=current_run_report()
+        )
+    return ACResult(frequencies=freqs, x=out, system=system)
 
-    from repro.perf.parallel import (
-        MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-        worker_count,
+
+def impedance_spec(
+    system: MNASystem,
+    port: tuple[str, str],
+    gmin: float,
+    policy: ResiliencePolicy,
+    site: str = "ac",
+    retry_site: str | None = None,
+):
+    """The :class:`~repro.perf.parallel.SweepSpec` of the driving-point
+    impedance into ``port``: a unit AC current injected into ``port[0]``
+    and extracted from ``port[1]``, reduced to their voltage difference.
+    """
+    from repro.perf.parallel import SweepSpec
+
+    g_matrix, c_matrix = system.build_matrices()
+    b = np.zeros(system.size, dtype=complex)
+    i_plus = system.node_index(port[0])
+    i_minus = system.node_index(port[1])
+    if i_plus >= 0:
+        b[i_plus] += 1.0
+    if i_minus >= 0:
+        b[i_minus] -= 1.0
+    return SweepSpec(
+        g_matrix=add_gmin(g_matrix, system.n, gmin), c_matrix=c_matrix, b=b,
+        site=site, retry_site=retry_site, policy=policy,
+        port=(i_plus, i_minus),
     )
-
-    num_workers = worker_count(workers)
-    use_pool = num_workers > 1 and len(freqs) > 1 and (
-        explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-    )
-    with span(
-        "circuit.ac", points=len(freqs), size=system.size,
-        workers=num_workers if use_pool else 1,
-    ):
-        if use_pool:
-            spec = SweepSpec(
-                g_matrix=g_matrix, c_matrix=c_matrix, b=b,
-                site="ac", policy=policy,
-            )
-            parallel_sweep(
-                spec, freqs, out, workers=num_workers,
-                report=current_run_report(),
-            )
-            return ACResult(frequencies=freqs, x=out, system=system)
-
-        # Union pattern (or operator system) assembled once; each point
-        # only writes a fresh data vector / builds a thin OperatorSystem.
-        assembler = SweepAssembler(g_matrix, c_matrix)
-        for i, f in enumerate(freqs):
-            omega = 2.0 * np.pi * f
-            out[i] = ResilientFactorization(
-                assembler.at_omega(omega), site="ac", policy=policy
-            ).solve(b)
-        return ACResult(frequencies=freqs, x=out, system=system)
 
 
 def ac_impedance(
@@ -173,54 +173,18 @@ def ac_impedance(
     A unit AC current is injected into ``port[0]`` and extracted from
     ``port[1]``; the returned impedance is their voltage difference.
     ``workers > 1`` fans the sweep out over a process pool with results
-    identical to the serial loop.
+    identical to the serial path.
     """
+    from repro.perf.parallel import parallel_sweep
+
     system = _as_system(circuit_or_system)
     policy = policy or default_policy()
     if system.has_devices:
         raise ValueError("impedance extraction requires a linear circuit")
     freqs = np.asarray(list(frequencies), dtype=float)
-    g_matrix, c_matrix = system.build_matrices()
-    g_matrix = add_gmin(g_matrix, system.n, gmin)
-    b = np.zeros(system.size, dtype=complex)
-    i_plus = system.node_index(port[0])
-    i_minus = system.node_index(port[1])
-    if i_plus >= 0:
-        b[i_plus] += 1.0
-    if i_minus >= 0:
-        b[i_minus] -= 1.0
+    spec = impedance_spec(system, port, gmin, policy)
     z = np.zeros(len(freqs), dtype=complex)
-
-    from repro.perf.parallel import (
-        MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-        worker_count,
-    )
-
-    num_workers = worker_count(workers)
-    use_pool = num_workers > 1 and len(freqs) > 1 and (
-        explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-    )
-    with span(
-        "circuit.ac.impedance", points=len(freqs), size=system.size,
-        workers=num_workers if use_pool else 1,
-    ):
-        if use_pool:
-            spec = SweepSpec(
-                g_matrix=g_matrix, c_matrix=c_matrix, b=b,
-                site="ac", policy=policy, port=(i_plus, i_minus),
-            )
-            return parallel_sweep(
-                spec, freqs, z, workers=num_workers,
-                report=current_run_report(),
-            )
-
-        assembler = SweepAssembler(g_matrix, c_matrix)
-        for i, f in enumerate(freqs):
-            omega = 2.0 * np.pi * f
-            x = ResilientFactorization(
-                assembler.at_omega(omega), site="ac", policy=policy
-            ).solve(b)
-            vp = x[i_plus] if i_plus >= 0 else 0.0
-            vm = x[i_minus] if i_minus >= 0 else 0.0
-            z[i] = vp - vm
-        return z
+    with span("circuit.ac.impedance", points=len(freqs), size=system.size):
+        return parallel_sweep(
+            spec, freqs, z, workers=workers, report=current_run_report()
+        )

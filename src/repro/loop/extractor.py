@@ -30,9 +30,9 @@ import numpy as np
 from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.netlist import Circuit
 from repro.obs.trace import span
-from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointConfig,
+    CheckpointMismatch,
     finish_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -229,35 +229,25 @@ def _sweep_impedance(
     report: RunReport,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Per-frequency impedance sweep with retries and checkpointing.
+    """Port-impedance sweep with per-point retries and checkpointing.
 
-    Functionally identical to :func:`repro.circuit.ac.ac_impedance`, but
-    each frequency point is an individually retried unit of work
-    (``"loop.freq"`` fault site) and completed points are periodically
-    snapshotted, so a killed sweep resumes instead of restarting.
-
-    With ``workers > 1`` the remaining points fan out over a process
-    pool (:mod:`repro.perf.parallel`); results are placed by index so
-    the impedance array is bit-identical to the serial sweep, and
-    checkpoints are written from completed-chunk results at the same
-    ``checkpoint.interval`` granularity.
+    The system comes from :func:`repro.circuit.ac.impedance_spec` and
+    the sweep from :func:`repro.perf.parallel.parallel_sweep`.  On top of
+    that, each frequency point is an individually retried unit of work
+    (``"loop.freq"`` fault site), and the engine's ``on_chunk`` hook
+    snapshots the completed points every ``checkpoint.interval`` points,
+    so a killed sweep resumes instead of restarting.  A point that fails
+    past its retries leaves an emergency snapshot of every point solved
+    before it.
     """
-    from repro.circuit.linalg import (
-        ResilientFactorization, SweepAssembler, add_gmin,
-    )
+    from repro.circuit.ac import impedance_spec
     from repro.circuit.mna import MNASystem
+    from repro.perf.parallel import parallel_sweep
 
     system = MNASystem(circuit)
-    g_matrix, c_matrix = system.build_matrices()
-    g_matrix = add_gmin(g_matrix, system.n, gmin)
-    b = np.zeros(system.size, dtype=complex)
-    i_plus = system.node_index(port_nodes[0])
-    i_minus = system.node_index(port_nodes[1])
-    if i_plus >= 0:
-        b[i_plus] += 1.0
-    if i_minus >= 0:
-        b[i_minus] -= 1.0
-
+    spec = impedance_spec(
+        system, port_nodes, gmin, policy, site="loop", retry_site="loop.freq"
+    )
     z = np.zeros(len(freqs), dtype=complex)
     done = np.zeros(len(freqs), dtype=bool)
 
@@ -272,9 +262,7 @@ def _sweep_impedance(
     if checkpoint is not None and checkpoint.resume and checkpoint.path.exists():
         snap = load_checkpoint(checkpoint.path)
         verify_fingerprint(snap, "loop-sweep", fingerprint, checkpoint.path)
-        if not np.allclose(snap.arrays["frequencies"], freqs):
-            from repro.resilience.checkpoint import CheckpointMismatch
-
+        if not np.array_equal(snap.arrays["frequencies"], freqs):
             raise CheckpointMismatch(
                 f"{checkpoint.path}: checkpointed frequency grid differs"
             )
@@ -305,99 +293,34 @@ def _sweep_impedance(
             f"{checkpoint.path} ({reason})",
         )
 
-    from repro.perf.parallel import (
-        MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-        worker_count,
-    )
+    since = 0
 
-    num_workers = worker_count(workers)
-    if num_workers > 1 and int((~done).sum()) > 1 and (
-        explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-    ):
-        spec = SweepSpec(
-            g_matrix=g_matrix,
-            c_matrix=c_matrix,
-            b=b,
-            site="loop",
-            retry_site="loop.freq",
-            policy=policy,
-            port=(i_plus, i_minus),
-        )
-        since = 0
+    def on_chunk(idx: np.ndarray) -> None:
+        nonlocal since
+        done[idx] = True
+        since += len(idx)
+        if (
+            checkpoint is not None
+            and since >= checkpoint.interval
+            and not done.all()
+        ):
+            save("periodic")
+            since = 0
 
-        def on_chunk(idx: np.ndarray) -> None:
-            nonlocal since
-            done[idx] = True
-            since += len(idx)
-            if (
-                checkpoint is not None
-                and since >= checkpoint.interval
-                and not done.all()
-            ):
-                save("periodic")
-                since = 0
-
-        with activate(report):
-            try:
-                parallel_sweep(
-                    spec, freqs, z,
-                    indices=np.nonzero(~done)[0],
-                    workers=num_workers,
-                    chunk=checkpoint.interval if checkpoint is not None else None,
-                    report=report,
-                    on_chunk=on_chunk,
-                )
-            except (SingularCircuitError, InjectedFault):
-                if checkpoint is not None:
-                    save("emergency: parallel sweep failed")
-                raise
-        finish_checkpoint(checkpoint)
-        return z
-
-    since_checkpoint = 0
-    # Union pattern (or operator system) assembled once up front; each
-    # frequency point only writes a fresh data vector / builds a thin
-    # OperatorSystem around the shared preconditioner pattern.
-    assembler = SweepAssembler(g_matrix, c_matrix)
     with activate(report):
-        for i, f in enumerate(freqs):
-            if done[i]:
-                continue
-            omega = 2.0 * np.pi * f
-            a_matrix = assembler.at_omega(omega)
-            retries = 0
-            while True:
-                try:
-                    faults.maybe_fail("loop.freq")
-                    x = ResilientFactorization(
-                        a_matrix, site="loop", policy=policy
-                    ).solve(b)
-                    break
-                except (SingularCircuitError, InjectedFault) as exc:
-                    if retries < policy.max_retries:
-                        retries += 1
-                        report.record_retry(
-                            "loop",
-                            f"f = {f:.4g} Hz: retry "
-                            f"{retries}/{policy.max_retries}: {exc}",
-                        )
-                        continue
-                    if checkpoint is not None:
-                        save(f"emergency: f = {f:.4g} Hz failed")
-                    raise
-            vp = x[i_plus] if i_plus >= 0 else 0.0
-            vm = x[i_minus] if i_minus >= 0 else 0.0
-            z[i] = vp - vm
-            done[i] = True
-            since_checkpoint += 1
-            if (
-                checkpoint is not None
-                and since_checkpoint >= checkpoint.interval
-                and not done.all()
-            ):
-                save("periodic")
-                since_checkpoint = 0
-
+        try:
+            parallel_sweep(
+                spec, freqs, z,
+                indices=np.nonzero(~done)[0],
+                workers=workers,
+                chunk=checkpoint.interval if checkpoint is not None else None,
+                report=report,
+                on_chunk=on_chunk,
+            )
+        except (SingularCircuitError, InjectedFault) as exc:
+            if checkpoint is not None:
+                save(f"emergency: {exc}")
+            raise
     finish_checkpoint(checkpoint)
     return z
 

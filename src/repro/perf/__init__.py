@@ -3,10 +3,11 @@
 Three independent pieces, all motivated by the ROADMAP's "as fast as the
 hardware allows" north star:
 
-* :mod:`repro.perf.parallel` -- process-pool parallelization of the
-  per-frequency sweeps in loop extraction and AC analysis, with
-  per-worker reuse of the assembled MNA system and graceful serial
-  fallback (``REPRO_WORKERS`` sets the default worker count).
+* :mod:`repro.perf.parallel` -- the one frequency-sweep engine behind
+  loop extraction and AC analysis: the same per-point body run serially
+  or on a supervised process pool, with per-worker reuse of the
+  assembled MNA system and graceful serial fallback (``REPRO_WORKERS``
+  sets the default worker count).
 * :mod:`repro.perf.cache` -- content-addressed memoization of the dense
   partial-inductance assembly, in-process (LRU) and optionally on disk
   (``REPRO_CACHE_DIR``), invalidated by any geometry or parameter change.

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Hashable, Iterable
@@ -39,6 +38,7 @@ from typing import Any, Hashable, Iterable
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
+from repro.resilience.checkpoint import atomic_write
 
 
 class LRUCache:
@@ -246,19 +246,7 @@ def store_matrix(digest: str, matrix: np.ndarray) -> None:
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.savez_compressed(f, matrix=matrix)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        atomic_write(path, lambda f: np.savez_compressed(f, matrix=matrix))
     except OSError:
         pass  # disk tier is best-effort; the result is already in memory
 
@@ -400,19 +388,10 @@ def store_operator(digest: str, operator) -> None:
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
+        atomic_write(
+            path,
+            lambda f: np.savez_compressed(f, **_operator_to_arrays(operator)),
         )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.savez_compressed(f, **_operator_to_arrays(operator))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
     except OSError:
         pass  # disk tier is best-effort; the operator is already in memory
 

@@ -1,37 +1,33 @@
-"""Process-pool parallel frequency sweeps over ``(G + j omega C) x = b``.
+"""The frequency-sweep engine: ``(G + j omega C) x = b`` over a grid.
 
-The Section-5 loop extraction and the AC engine both solve one dense (or
-sparse) system per frequency point -- an embarrassingly parallel sweep
-that the serial loops in :mod:`repro.loop.extractor` and
-:mod:`repro.circuit.ac` leave on the table.  This module fans the points
-out over a process pool:
+Every sweep in the package -- :func:`repro.circuit.ac.ac_analysis`,
+:func:`repro.circuit.ac.ac_impedance` and the Section-5 loop extraction
+in :mod:`repro.loop.extractor` -- builds its matrices and right-hand
+side into a :class:`SweepSpec` and calls :func:`parallel_sweep` once.
+The engine owns the rest:
 
-* the assembled MNA matrices are shipped to each worker **once** (pool
-  initializer), so every worker amortizes setup across all the points it
-  solves -- the FastHenry/PRIMA lesson of reusing the expensive setup;
-* points are scheduled in contiguous index chunks (several per worker,
-  so a slow chunk cannot stall the tail);
-* each point runs the same retry loop as the serial path (``"raise"``
-  faults at the retry site are retried ``policy.max_retries`` times,
-  then propagate), and workers return their retry notes so the parent's
-  :class:`~repro.resilience.report.RunReport` stays complete;
-* results land in the output array **by index**, so the sweep is
-  bit-identical to the serial loop regardless of worker count, chunk
-  size, or completion order;
-* a pool that cannot be created (sandboxed environment, exhausted fds,
-  an injected ``"perf.pool"`` fault) degrades gracefully to the serial
-  path, recorded as a downgrade -- never a failure;
-* a *running* pool executes under the
-  :class:`~repro.resilience.supervisor.Supervisor`: chunks get
-  wall-clock deadlines, hung or killed workers are detected by the
-  watchdog and their chunks reissued to a restarted pool, poison points
-  are bisected out and quarantined as NaN rows, and a circuit breaker
-  trips to the serial path after ``max_pool_restarts`` (see
-  ``SupervisorConfig`` for the knobs, all overridable via
-  ``REPRO_DEADLINE`` / ``REPRO_TIME_BUDGET`` / ``REPRO_WORKER_RLIMIT_MB``).
+* **one per-point body** (:func:`solve_points`): assemble
+  ``G + j omega C`` from the union pattern / operator system built once
+  per spec, solve it through the escalation chain, and retry
+  ``"raise"`` faults at the spec's retry site ``policy.max_retries``
+  times before they propagate;
+* **the serial-vs-pool decision**: a pool runs when more than one worker
+  resolves (``workers=``, else ``REPRO_WORKERS``, else the CPU count),
+  more than one point is left, and the count was asked for explicitly or
+  the system has at least :data:`MIN_PARALLEL_SIZE` unknowns;
+* **serially**, contiguous chunks of points run in-process through the
+  same body, and each point's row, retry notes and ``on_chunk`` call
+  land as that point finishes, so an emergency checkpoint sees every
+  solved point;
+* **pooled**, the chunks run through the package's one pool adapter,
+  :func:`repro.resilience.supervisor.supervised_map`: the spec ships to
+  each worker once, chunks get deadlines, hung or killed workers are
+  replaced, poison points are quarantined as NaN rows, and a pool that
+  cannot be created degrades to the serial path as a recorded
+  downgrade (see ``SupervisorConfig`` for the knobs).
 
-Worker count resolves from the ``workers=`` argument, else the
-``REPRO_WORKERS`` environment variable, else ``os.cpu_count()``.
+Rows land in the output array **by index**, so a sweep is bit-identical
+for every worker count, chunk size and completion order.
 """
 
 from __future__ import annotations
@@ -47,16 +43,12 @@ from repro.circuit.linalg import (
     ResilientFactorization, SingularCircuitError, SweepAssembler,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import (
-    detached_stack, export_spans, graft_spans, span, tracing,
-)
+from repro.obs.trace import span
 from repro.resilience import faults
 from repro.resilience.faults import InjectedFault
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import RunReport
-from repro.resilience.supervisor import (
-    Supervisor, SupervisorConfig, supervised_init,
-)
+from repro.resilience.supervisor import SupervisorConfig, supervised_map
 
 #: Target chunks handed out per worker; >1 so stragglers rebalance.
 OVERSUBSCRIBE = 4
@@ -186,7 +178,7 @@ class SweepSpec:
 def solve_points(
     spec: SweepSpec, freqs: np.ndarray
 ) -> tuple[np.ndarray, list[str]]:
-    """Solve the given frequency points serially (worker body).
+    """Solve the given frequency points in order (the pool worker body).
 
     Returns ``(rows, retry_notes)`` where ``rows`` has one row per point
     (port-reduced or full solution) and ``retry_notes`` describes every
@@ -194,93 +186,58 @@ def solve_points(
     """
     out = np.zeros((len(freqs), spec.row_size), dtype=complex)
     notes: list[str] = []
-    with span("sweep.solve", points=len(freqs), site=spec.site):
-        _solve_points_into(spec, freqs, out, notes)
+
+    def keep(k: int, row: np.ndarray, point_notes: list[str]) -> None:
+        out[k] = row
+        notes.extend(point_notes)
+
+    _solve_each(spec, freqs, keep)
     return out, notes
 
 
-def _solve_points_into(
+def _solve_each(
     spec: SweepSpec,
     freqs: np.ndarray,
-    out: np.ndarray,
-    notes: list[str],
+    emit: Callable[[int, np.ndarray, list[str]], None],
 ) -> None:
+    """The per-point body: ``emit(k, row, retry_notes)`` as each point
+    of ``freqs`` is solved."""
     assembler = spec.assembler()
-    for k, f in enumerate(freqs):
-        omega = 2.0 * np.pi * f
-        a_matrix = assembler.at_omega(omega)
-        retries = 0
-        while True:
-            try:
-                if spec.retry_site is not None:
-                    faults.maybe_fail(spec.retry_site)
-                x = ResilientFactorization(
-                    a_matrix, site=spec.site, policy=spec.policy
-                ).solve(spec.b)
-                break
-            except (SingularCircuitError, InjectedFault) as exc:
-                if spec.retry_site is not None and retries < spec.policy.max_retries:
-                    retries += 1
+    with span("sweep.solve", points=len(freqs), site=spec.site):
+        for k, f in enumerate(freqs):
+            a_matrix = assembler.at_omega(2.0 * np.pi * f)
+            notes: list[str] = []
+            while True:
+                try:
+                    if spec.retry_site is not None:
+                        faults.maybe_fail(spec.retry_site)
+                    x = ResilientFactorization(
+                        a_matrix, site=spec.site, policy=spec.policy
+                    ).solve(spec.b)
+                    break
+                except (SingularCircuitError, InjectedFault) as exc:
+                    if (spec.retry_site is None
+                            or len(notes) >= spec.policy.max_retries):
+                        raise
                     notes.append(
                         f"f = {f:.4g} Hz: retry "
-                        f"{retries}/{spec.policy.max_retries}: {exc}"
+                        f"{len(notes) + 1}/{spec.policy.max_retries}: {exc}"
                     )
-                    continue
-                raise
-        if spec.port is not None:
-            i_plus, i_minus = spec.port
-            vp = x[i_plus] if i_plus >= 0 else 0.0
-            vm = x[i_minus] if i_minus >= 0 else 0.0
-            out[k, 0] = vp - vm
-        else:
-            out[k] = x
-
-
-# -- pool plumbing -----------------------------------------------------------
-
-_WORKER_SPEC: SweepSpec | None = None
-
-
-def _init_worker(spec: SweepSpec) -> None:
-    # The standard pool-initializer idiom: the spec is pickled once per
-    # worker process (not once per chunk) and parked in a module global
-    # that only that worker ever reads.  The parent never reads
-    # _WORKER_SPEC, so the per-process copies cannot diverge from
-    # anything.
-    global _WORKER_SPEC  # qa: ignore[QA203]
-    _WORKER_SPEC = spec
+            if spec.port is not None:
+                i_plus, i_minus = spec.port
+                vp = x[i_plus] if i_plus >= 0 else 0.0
+                vm = x[i_minus] if i_minus >= 0 else 0.0
+                x = np.array([vp - vm])
+            emit(k, x, notes)
 
 
 def _solve_chunk(
-    chunk_id: int, freqs: np.ndarray
-) -> tuple[int, np.ndarray, list[str], list[dict], dict]:
-    """Worker body: solve one chunk under a private trace.
-
-    The worker has no access to the parent's collector, so it records
-    its spans in a local :class:`~repro.obs.trace.Trace` and ships the
-    serialized tree (plus its metrics export) back with the results --
-    the same channel the retry notes already use.  The registry is reset
-    per chunk: pool workers are persistent, and without the reset a
-    worker's second chunk would re-ship (and the parent re-merge) the
-    first chunk's counts.  The span stack is detached for the same
-    reason: a fork-started worker inherits the span that was open in the
-    parent at fork time, and without the detach the chunk span would
-    attach to that dead copy instead of the private trace.
-
-    The ``"perf.worker"`` disruption hook fires only here, in the pool
-    worker -- never on the serial path -- so injected hangs/crashes
-    exercise the supervisor without being able to stall a serial or
-    circuit-breaker fallback.
-    """
-    faults.maybe_disrupt("perf.worker")
-    obs_metrics.REGISTRY.reset()  # qa: ignore[QA203] -- worker-private registry, exported below
-    with detached_stack(), tracing() as trace:
-        with span("sweep.chunk", chunk=chunk_id, points=len(freqs)):
-            rows, notes = solve_points(_WORKER_SPEC, freqs)  # qa: ignore[QA203] -- set by _init_worker in this process
-    return (
-        chunk_id, rows, notes,
-        export_spans(trace), obs_metrics.REGISTRY.export(),
-    )
+    state: tuple[SweepSpec, np.ndarray], key: int, idx: np.ndarray
+) -> tuple[np.ndarray, list[str]]:
+    """Pool worker: solve the points ``idx`` of the shipped sweep."""
+    spec, freqs = state
+    with span("sweep.chunk", chunk=key, points=len(idx)):
+        return solve_points(spec, freqs[idx])
 
 
 def parallel_sweep(
@@ -294,7 +251,7 @@ def parallel_sweep(
     on_chunk: Callable[[np.ndarray], None] | None = None,
     config: SupervisorConfig | None = None,
 ) -> np.ndarray:
-    """Solve sweep points in parallel, filling ``out`` by index.
+    """Solve sweep points serially or on a pool, filling ``out`` by index.
 
     Args:
         spec: The assembled system and solve configuration.
@@ -304,97 +261,49 @@ def parallel_sweep(
             rows in ``indices`` are written.
         indices: Point indices still to solve (checkpoint resume skips
             completed ones); default all.
-        workers: Worker count (see :func:`worker_count`).
+        workers: Worker count (see :func:`worker_count`); whether a pool
+            runs at all is decided here (module docstring).
         chunk: Points per scheduled chunk; default auto.
-        report: Run report receiving worker retry notes, supervision
-            events (timeouts, restarts, quarantines), the downgrade
-            record if the pool cannot be created, and chunk checkpoints'
-            bookkeeping (via ``on_chunk``).
-        on_chunk: Called with each completed chunk's indices *after* its
-            results are stored in ``out`` -- the checkpoint hook.
-            Quarantined points pass through it too (their rows are NaN),
-            so the checkpoint stream stays complete.
+        report: Run report receiving retry notes, supervision events
+            (timeouts, restarts, quarantines) and the downgrade record
+            if the pool cannot be created.
+        on_chunk: Called with the indices of each batch of rows *after*
+            they are stored in ``out`` -- the checkpoint hook.  The
+            serial path calls it once per point, the pool once per
+            chunk.  Quarantined points pass through it too (their rows
+            are NaN), so the checkpoint stream stays complete.
         config: Supervision knobs; default
             :meth:`SupervisorConfig.from_env`.
 
     Returns:
         ``out``.  If any point fails even after retries, the exception
-        propagates after all already-completed chunk results have been
-        stored and reported via ``on_chunk`` (so an emergency checkpoint
-        sees every finished point).  Process-level failures -- hung or
-        killed workers, worker ``MemoryError`` -- do *not* propagate:
-        the supervisor reissues the work and, as a last resort,
-        quarantines the offending point as a NaN row.
+        propagates after every already-solved point has been stored and
+        reported via ``on_chunk`` (so an emergency checkpoint sees every
+        finished point).  Process-level failures -- hung or killed
+        workers, worker ``MemoryError`` -- do *not* propagate: the
+        supervisor reissues the work and, as a last resort, quarantines
+        the offending point as a NaN row.
     """
-    all_indices = (
-        np.arange(len(freqs)) if indices is None else np.asarray(indices, int)
+    todo = np.arange(len(freqs)) if indices is None else np.asarray(indices, int)
+    num_workers = worker_count(workers)
+    pooled = num_workers > 1 and todo.size > 1 and (
+        explicit_workers(workers) or len(spec.b) >= MIN_PARALLEL_SIZE
     )
-    workers = worker_count(workers)
-    cfg = config if config is not None else SupervisorConfig.from_env()
+    chunks = chunk_indices(todo, num_workers if pooled else 1, chunk)
 
-    def fill(idx: np.ndarray, rows: np.ndarray) -> None:
-        if spec.port is not None:
-            out[idx] = rows[:, 0]
-        else:
-            out[idx] = rows
-
-    def serial(todo: list[np.ndarray]) -> np.ndarray:
-        for idx in todo:
-            rows, notes = solve_points(spec, freqs[idx])
-            for note in notes:
-                if report is not None:
-                    report.record_retry(spec.site, note)
-            fill(idx, rows)
-            if on_chunk is not None:
-                on_chunk(idx)
-        return out
-
-    chunks = chunk_indices(all_indices, workers, chunk)
-    if workers == 1 or all_indices.size <= 1:
-        return serial(chunks)
-
-    pool_width = min(workers, len(chunks))
-
-    def make_executor():
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=pool_width,
-            initializer=supervised_init,
-            initargs=(cfg.rlimit_mb, _init_worker, (spec,)),
-        )
-
-    try:
-        faults.maybe_fail("perf.pool")
-        executor = make_executor()
-    except (InjectedFault, OSError, ImportError, PermissionError) as exc:
-        obs_metrics.counter("pool.fallback_serial").inc()
+    def store(idx: np.ndarray, rows: np.ndarray, notes: list[str]) -> None:
         if report is not None:
-            report.record_downgrade(
-                "perf",
-                f"parallel sweep ({workers} workers)",
-                "serial sweep",
-                f"process pool unavailable: {exc}",
-            )
-        return serial(chunks)
-
-    obs_metrics.gauge("pool.workers").set(pool_width)
-    obs_metrics.counter("pool.chunks").inc(len(chunks))
-    obs_metrics.counter("pool.points").inc(int(all_indices.size))
-
-    def submit(pool, key: int, idx: np.ndarray):
-        return pool.submit(_solve_chunk, key, freqs[idx])
-
-    def on_result(idx: np.ndarray, payload) -> None:
-        _, rows, notes, worker_spans, worker_metrics = payload
-        graft_spans(worker_spans)
-        obs_metrics.REGISTRY.merge(worker_metrics)
-        for note in notes:
-            if report is not None:
+            for note in notes:
                 report.record_retry(spec.site, note)
-        fill(idx, rows)
+        out[idx] = rows[:, 0] if spec.port is not None else rows
         if on_chunk is not None:
             on_chunk(idx)
+
+    def serial(idx: np.ndarray) -> None:
+        _solve_each(
+            spec, freqs[idx],
+            lambda k, row, notes: store(idx[k:k + 1], row[None], notes),
+        )
 
     def quarantine(point: int, reason: str) -> None:
         # A poison point becomes a NaN row -- degraded data, not a sweep
@@ -403,18 +312,17 @@ def parallel_sweep(
         if on_chunk is not None:
             on_chunk(np.array([point], dtype=int))
 
-    Supervisor(
-        executor=executor,
-        make_executor=make_executor,
-        submit=submit,
-        on_result=on_result,
-        solve_serial=lambda idx: serial([idx]),
-        quarantine=quarantine,
-        workers=pool_width,
-        config=cfg,
-        report=report,
-        stage="perf",
-    ).run(chunks)
+    if pooled and supervised_map(
+        chunks, _solve_chunk, lambda idx, payload: store(idx, *payload),
+        state=(spec, freqs), serial=serial, quarantine=quarantine,
+        workers=num_workers, stage="perf", metric_prefix="pool",
+        config=config, report=report,
+    ):
+        obs_metrics.counter("pool.chunks").inc(len(chunks))
+        obs_metrics.counter("pool.points").inc(int(todo.size))
+        return out
+    for idx in chunks:
+        serial(idx)
     return out
 
 

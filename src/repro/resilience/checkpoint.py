@@ -9,8 +9,9 @@ is expressible in the SPICE subset, its deck text is embedded too, which
 is what lets ``repro resume <file>.ckpt`` rebuild and finish a run from
 nothing but the checkpoint.
 
-Writes are atomic (temp file + :func:`os.replace`), so a crash mid-write
-leaves the previous snapshot intact.  Compatibility between a checkpoint
+Writes are atomic (:func:`atomic_write`: a temp file beside the target,
+then :func:`os.replace`), so a crash mid-write leaves the previous
+snapshot intact.  Compatibility between a checkpoint
 and the run trying to resume it is enforced with a fingerprint of the
 run's defining parameters; a mismatch raises :class:`CheckpointMismatch`
 rather than silently continuing the wrong simulation.
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Callable
 
 import numpy as np
 
@@ -36,6 +38,32 @@ class CheckpointError(RuntimeError):
 
 class CheckpointMismatch(CheckpointError):
     """The checkpoint belongs to a different run configuration."""
+
+
+def atomic_write(path: str | Path, write: Callable[[IO[bytes]], None]) -> None:
+    """Replace ``path`` all-or-nothing with what ``write(file)`` writes.
+
+    ``write`` fills a fresh temp file in the target's directory, which
+    then replaces ``path`` in one :func:`os.replace`; readers see the old
+    file or the new one, never a torn write.  If anything raises, the
+    temp file is removed and the exception propagates.  The package's
+    on-disk state -- checkpoints, the extraction cache's disk tier, the
+    scenario result store -- is all written through here.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 @dataclass
@@ -83,10 +111,9 @@ def save_checkpoint(
     header = np.frombuffer(
         json.dumps(record).encode("utf-8"), dtype=np.uint8
     )
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        np.savez(f, __checkpoint__=header, **arrays)
-    os.replace(tmp, path)
+    atomic_write(
+        path, lambda f: np.savez(f, __checkpoint__=header, **arrays)
+    )
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -146,6 +173,7 @@ def finish_checkpoint(config: CheckpointConfig | None) -> None:
 
 __all__ = [
     "CKPT_VERSION",
+    "atomic_write",
     "CheckpointError",
     "CheckpointMismatch",
     "CheckpointConfig",

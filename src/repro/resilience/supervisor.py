@@ -1,7 +1,9 @@
 """Supervised process-pool execution: deadlines, watchdog, quarantine.
 
-The plain pool paths in :mod:`repro.perf.parallel` and
-:mod:`repro.scenarios.scheduler` share three failure modes that a
+Both process pools in the package -- the frequency sweep
+(:mod:`repro.perf.parallel`) and the scenario scheduler
+(:mod:`repro.scenarios.scheduler`) -- run through one adapter,
+:func:`supervised_map`.  Pool execution has three failure modes that a
 long-running service cannot tolerate:
 
 * a **hung worker** (pathological input, runaway solve, injected
@@ -62,8 +64,12 @@ from typing import Callable
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
+from repro.obs.trace import (
+    detached_stack, export_spans, graft_spans, span, tracing,
+)
+from repro.resilience import faults
 from repro.resilience.budget import TimeBudget
+from repro.resilience.faults import InjectedFault
 from repro.resilience.report import RunReport
 
 #: Environment knobs (all optional; explicit arguments win).
@@ -213,6 +219,40 @@ def supervised_init(
     _apply_rlimit(rlimit_mb)
     if inner is not None:
         inner(*inner_args)
+
+
+_WORKER_STATE: object = None
+
+
+def _set_worker_state(state: object) -> None:
+    # The standard pool-initializer idiom: the state is handed over once
+    # per worker process (not once per chunk) and parked in a module
+    # global that only that worker reads; the parent never reads it.
+    global _WORKER_STATE  # qa: ignore[QA203]
+    _WORKER_STATE = state
+
+
+def _supervised_call(stage: str, worker: Callable, key: int, idx):
+    """Run one chunk in a pool worker under a private trace.
+
+    The worker has no access to the parent's collector, so the chunk's
+    spans go to a local :class:`~repro.obs.trace.Trace` and ship home,
+    serialized, with the metrics export.  The registry is reset per
+    chunk: pool workers are persistent, and without the reset a worker's
+    second chunk would re-ship the first chunk's counts.  The span stack
+    is detached because a fork-started worker inherits the span that was
+    open in the parent at fork time.
+
+    The ``"<stage>.worker"`` disruption hook fires only here, in the pool
+    worker -- never on a serial path -- so injected hangs and crashes
+    exercise the supervisor without being able to stall a serial or
+    circuit-breaker fallback.
+    """
+    faults.maybe_disrupt(f"{stage}.worker")
+    obs_metrics.REGISTRY.reset()  # qa: ignore[QA203] -- worker-private registry, exported below
+    with detached_stack(), tracing() as trace:
+        result = worker(_WORKER_STATE, key, idx)  # qa: ignore[QA203] -- set by _set_worker_state in this process
+    return result, export_spans(trace), obs_metrics.REGISTRY.export()
 
 
 def _kill_pool(executor) -> None:
@@ -744,6 +784,103 @@ class Supervisor:
         return stats
 
 
+def supervised_map(
+    chunks: list[np.ndarray],
+    worker: Callable,
+    on_result: Callable[[np.ndarray, object], None],
+    *,
+    state: object,
+    serial: Callable[[np.ndarray], None],
+    quarantine: Callable[[int, str], None],
+    workers: int,
+    stage: str,
+    metric_prefix: str,
+    config: SupervisorConfig | None = None,
+    report: RunReport | None = None,
+) -> bool:
+    """Run ``worker(state, key, idx)`` for every chunk on a supervised pool.
+
+    The package's one pool adapter.  ``state`` ships to each worker once
+    (pool initializer, chained after the memory ceiling); ``worker`` is
+    a module-level function, so it pickles by name.  Each chunk runs
+    under :func:`_supervised_call`, and the parent grafts the shipped
+    spans under its open span, merges the shipped metrics, then hands
+    the worker's return value to ``on_result(idx, result)``.
+
+    Args:
+        chunks: Index arrays to schedule.
+        worker: Chunk body, run in the pool worker.
+        on_result: Stores one completed chunk in the parent.
+        state: What every chunk needs (the assembled system, the
+            scenario list).
+        serial: Evaluates one chunk in the parent after the circuit
+            breaker trips.
+        quarantine: Records one poison point as a degraded result.
+        workers: Requested pool width (capped at the chunk count).
+        stage: Report stage and fault-site prefix (``"<stage>.pool"``
+            is checked before the pool is made, ``"<stage>.worker"`` in
+            each worker).
+        metric_prefix: Prefix of the ``<prefix>.workers`` gauge and
+            the ``<prefix>.fallback_serial`` counter.
+        config: Supervision knobs; default :meth:`SupervisorConfig.from_env`.
+        report: Run report receiving supervision events and the
+            downgrade record.
+
+    Returns:
+        True when the pool ran.  False when no pool could be created
+        (an injected ``"<stage>.pool"`` fault, a sandbox, exhausted
+        fds): the downgrade is recorded and counted, no chunk has run,
+        and the caller runs its serial path.
+    """
+    cfg = config if config is not None else SupervisorConfig.from_env()
+    width = min(workers, len(chunks))
+
+    def make_executor():
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
+            max_workers=width,
+            initializer=supervised_init,
+            initargs=(cfg.rlimit_mb, _set_worker_state, (state,)),
+        )
+
+    try:
+        faults.maybe_fail(f"{stage}.pool")
+        executor = make_executor()
+    except (InjectedFault, OSError, ImportError, PermissionError) as exc:
+        obs_metrics.counter(f"{metric_prefix}.fallback_serial").inc()
+        if report is not None:
+            report.record_downgrade(
+                stage, f"process pool ({workers} workers)", "serial sweep",
+                f"process pool unavailable: {exc}",
+            )
+        return False
+
+    obs_metrics.gauge(f"{metric_prefix}.workers").set(width)
+
+    def merge(idx: np.ndarray, payload) -> None:
+        result, worker_spans, worker_metrics = payload
+        graft_spans(worker_spans)
+        obs_metrics.REGISTRY.merge(worker_metrics)
+        on_result(idx, result)
+
+    Supervisor(
+        executor=executor,
+        make_executor=make_executor,
+        submit=lambda pool, key, idx: pool.submit(
+            _supervised_call, stage, worker, key, idx
+        ),
+        on_result=merge,
+        solve_serial=serial,
+        quarantine=quarantine,
+        workers=width,
+        config=cfg,
+        report=report,
+        stage=stage,
+    ).run(chunks)
+    return True
+
+
 __all__ = [
     "BACKOFF_MAX",
     "DEADLINE_ENV",
@@ -754,4 +891,5 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "supervised_init",
+    "supervised_map",
 ]

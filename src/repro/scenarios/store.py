@@ -1,9 +1,9 @@
 """Content-addressed on-disk result store for scenario sweeps.
 
 One JSON file per scenario, named by the scenario's content address
-(``scenario_<id>.json``), written atomically (temp file + ``os.replace``,
-the :mod:`repro.perf.cache` discipline) so a killed run never leaves a
-half-written record.  Because the filename *is* the parameter
+(``scenario_<id>.json``), written atomically
+(:func:`repro.resilience.checkpoint.atomic_write`) so a killed run never
+leaves a half-written record.  Because the filename *is* the parameter
 fingerprint, cross-run resume is a directory listing: any record already
 present is valid for exactly the parameters that produced it, and any
 parameter change routes to a fresh file.
@@ -12,9 +12,9 @@ parameter change routes to a fresh file.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
+
+from repro.resilience.checkpoint import atomic_write
 
 
 class ResultStore:
@@ -30,20 +30,8 @@ class ResultStore:
     def store(self, record: dict) -> Path:
         """Atomically persist one scenario record."""
         path = self.path_for(record["id"])
-        text = json.dumps(record, indent=2, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as f:
-                f.write(text + "\n")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        atomic_write(path, lambda f: f.write(text.encode("ascii")))
         return path
 
     def load(self, scenario_id: str) -> dict | None:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.circuit.ac import ac_impedance
 from repro.circuit.netlist import GROUND, Circuit
+from repro.loop.extractor import LoopPort, extract_loop_impedance
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import tracing
 
@@ -72,13 +73,37 @@ class TestWorkerSpanMerge:
         assert snap["counters"]["pool.chunks"] >= 2
         assert snap["gauges"]["pool.workers"] >= 2
 
-    def test_serial_sweep_records_no_chunks(self, clean_registry):
+    @pytest.mark.parametrize("sweep", ["ac_impedance", "loop"])
+    def test_serial_sweep_records_no_chunks(
+        self, clean_registry, signal_grid_structure, sweep
+    ):
         with tracing() as trace:
-            ac_impedance(rlc_ladder(), FREQS, ("p", GROUND), workers=1)
+            if sweep == "ac_impedance":
+                ac_impedance(rlc_ladder(), FREQS, ("p", GROUND), workers=1)
+                root = "circuit.ac.impedance"
+            else:
+                layout, ports = signal_grid_structure
+                extract_loop_impedance(
+                    layout,
+                    LoopPort(
+                        signal=ports["driver"],
+                        reference=ports["gnd_driver"],
+                        short_signal=ports["receiver"],
+                        short_reference=ports["gnd_receiver"],
+                    ),
+                    np.logspace(8, 10, 4),
+                    max_segment_length=150e-6, workers=1,
+                )
+                root = "loop.sweep"
         assert trace.complete
-        assert trace.find("circuit.ac.impedance") is not None
+        assert trace.find(root) is not None
+        assert trace.find(root).find("sweep.solve") is not None
         assert trace.find("sweep.chunk") is None
-        assert "pool.chunks" not in clean_registry.export()["counters"]
+        assert not any(
+            name.startswith("pool.")
+            for kind in ("counters", "gauges")
+            for name in clean_registry.export()[kind]
+        )
 
     def test_chunk_spans_are_not_double_shipped(self, clean_registry):
         # Persistent workers handle several chunks; each chunk runs under

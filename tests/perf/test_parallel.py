@@ -345,7 +345,12 @@ class TestParallelCheckpointing:
                     checkpoint=CheckpointConfig(path, interval=2),
                 )
         snap = load_checkpoint(path)
-        assert 0 < int(snap.arrays["done"].sum()) < len(freqs)
+        # The serial path records each point as it finishes: the three
+        # points solved before the fault are all in the emergency
+        # snapshot, not only the last full checkpoint interval.
+        assert snap.arrays["done"].tolist() == [
+            True, True, True, False, False, False,
+        ]
         # ...then finish it with the parallel path.
         with inject_faults():
             resumed = extract_loop_impedance(

@@ -94,6 +94,24 @@ class TestFileFormat:
             CheckpointConfig(tmp_path / "x.ckpt", interval=0)
 
 
+class TestAtomicWrite:
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, "demo", {}, {"x": np.arange(3.0)})
+
+        def torn_write(f, **arrays):
+            f.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, "demo", {}, {"x": np.arange(4.0)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+        # The previous snapshot is intact.
+        monkeypatch.undo()
+        assert np.array_equal(load_checkpoint(path).arrays["x"], np.arange(3.0))
+
+
 class TestTransientKillResume:
     def test_killed_run_resumes_and_matches_uninterrupted(self, tmp_path):
         # Acceptance: a transient killed mid-run resumes from its
@@ -214,3 +232,28 @@ class TestLoopSweepKillResume:
         )
         assert resumed.report.by_kind("resume")
         assert not path.exists()
+
+    def test_resume_refuses_a_different_frequency_grid(
+        self, tmp_path, loop_setup
+    ):
+        from repro.loop.extractor import extract_loop_impedance
+
+        layout, port = loop_setup
+        freqs = np.logspace(8, 10, 6)
+        path = tmp_path / "grid.ckpt"
+        with inject_faults(FaultSpec("loop.freq", "raise", after=3)):
+            with pytest.raises(InjectedFault):
+                extract_loop_impedance(
+                    layout, port, freqs, policy=BRITTLE, workers=1,
+                    checkpoint=CheckpointConfig(path, interval=2),
+                )
+        # Same size and end points, one interior point moved by far less
+        # than np.allclose's default tolerance.
+        moved = freqs.copy()
+        moved[1] *= 1.0 + 5e-6
+        with inject_faults():
+            with pytest.raises(CheckpointMismatch, match="frequency grid"):
+                extract_loop_impedance(
+                    layout, port, moved, policy=BRITTLE, workers=1,
+                    checkpoint=CheckpointConfig(path, interval=2),
+                )
